@@ -1,7 +1,8 @@
 """Command-line surface: thresholds, LPP data, Hilbert functions,
 verification campaigns, and reproduction of the known example values.
 
-Exit codes: 0 success, 1 check or reproduction failure, 2 usage error.
+Exit codes: 0 success, 1 check or reproduction failure, 2 usage error or
+resource limit (CB_MAX_DIM).
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import sys
 from typing import Sequence
 
 from .bounds import best_threshold
+from .gfp import GradedPieceTooLargeError
 from .lpp import AciParams, c_sequence, lpp_ideal, lpp_monomial, lpp_multiplicity, sigma
 from .monomials import format_ideal, format_monomial, hilbert_function, parse_ideal
 from .reproduce import manifest_rows
@@ -229,7 +231,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, GradedPieceTooLargeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -35,7 +35,15 @@ class GradedPieceTooLargeError(RuntimeError):
 
 def max_graded_dim() -> int:
     raw = os.environ.get("CB_MAX_DIM")
-    return int(raw) if raw else DEFAULT_MAX_DIM
+    if not raw:
+        return DEFAULT_MAX_DIM
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError(f"CB_MAX_DIM must be an integer >= 1, got {raw!r}")
+    return cap
 
 
 def is_prime(p: int) -> bool:
@@ -196,9 +204,10 @@ def graded_piece_matrix(gens: Sequence[Form], n: int, degree: int) -> np.ndarray
     """Rows spanning the degree-j piece of the ideal: every multiple m*g with
     deg(m) = j - deg(g), in the degree-j monomial coordinates."""
     dim = math.comb(degree + n - 1, n - 1)
-    if dim > max_graded_dim():
+    cap = max_graded_dim()
+    if dim > cap:
         raise GradedPieceTooLargeError(
-            f"degree-{degree} piece has dimension {dim} > cap {max_graded_dim()} "
+            f"degree-{degree} piece has dimension {dim} > cap {cap} "
             "(override with CB_MAX_DIM)")
     keys = _basis_keys(degree, n)
     base = degree + 1

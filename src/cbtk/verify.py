@@ -43,9 +43,8 @@ class VerificationError(RuntimeError):
 class Certification:
     """Recomputable evidence that an instance is a genuine ACI."""
 
-    is_regular_sequence: bool
-    ci_hf: tuple[int, ...]        # HF(S/f; 0..sigma+1), matches the Koszul values
-    g_not_in_f: bool
+    ci_hf: tuple[int, ...]        # HF(S/f; 0..sigma+1): the Koszul values, proven by the
+                                  # regular-sequence certificate (random_regular_sequence)
     hf_f_at_D: int
     hf_a_at_D: int                # strictly smaller certifies G outside f
 
@@ -79,15 +78,30 @@ class AciInstance:
         }
 
 
+def _cut(form: Form, h: int) -> Form:
+    """The form with x_{h+1}, ..., x_n set to 0, as a form in h variables."""
+    return Form(h, form.p, form.degree,
+                tuple((m, c) for m, c in form.terms if len(m.exponents) <= h))
+
+
+def _certifies_regular(forms: tuple[Form, ...], n: int, p: int) -> bool:
+    """Whether HF(S/forms; 0..sigma+1) is the complete-intersection one,
+    settled by one rank in h variables when that rank is zero."""
+    h = len(forms)
+    degrees = tuple(f.degree for f in forms)
+    top = sum(d - 1 for d in degrees) + 1
+    if graded_piece_dim(tuple(_cut(f, h) for f in forms), h, p, top) == 0:
+        return True
+    return n > h and graded_rank_hf(forms, n, p, top).values == ci_hilbert(degrees, n, top).values
+
+
 def _random_regular_sequence(rng: random.Random, degrees: tuple[int, ...], n: int,
                              p: int, max_retries: int) -> tuple[tuple[Form, ...], tuple[int, ...]]:
-    sig = sum(d - 1 for d in degrees)
-    expected = ci_hilbert(degrees, n, sig + 1).values
+    expected = ci_hilbert(degrees, n, sum(d - 1 for d in degrees) + 1).values
     for _ in range(max_retries):
         forms = tuple(Form.random(n, d, p, rng) for d in degrees)
-        got = graded_rank_hf(forms, n, p, sig + 1).values
-        if got == expected:
-            return forms, got
+        if _certifies_regular(forms, n, p):
+            return forms, expected
     raise CertificationFailedError(
         f"no regular sequence of degrees {degrees} over GF({p}) in {max_retries} tries; "
         "a larger field should succeed")
@@ -98,9 +112,16 @@ def random_regular_sequence(degrees: Sequence[int], n: int, p: int, seed: int,
     """Random forms of the given degrees whose quotient Hilbert function
     matches the complete-intersection values through degree sigma+1.
 
-    For n == h the zero value at sigma+1 certifies an Artinian quotient and
-    hence a regular sequence; for n > h the full match is the adopted
-    certificate.
+    Each try is certified by one rank: with x_{h+1}, ..., x_n set to 0, the
+    quotient in h variables must vanish in degree sigma+1.  That Artinian
+    quotient makes (f, x_{h+1}, ..., x_n) a system of parameters of the
+    Cohen-Macaulay ring S, hence a regular sequence (Bruns-Herzog,
+    Cohen-Macaulay Rings, Thm 2.1.2), so f is one too and its Hilbert
+    function is the complete-intersection one.  For n > h a try that fails
+    this test can still be regular (x1^2, x2^2, x4^2 in four variables); it
+    is then certified by matching the full Hilbert function through degree
+    sigma+1, so exactly the forms with that full match are accepted.  For
+    n == h the full match is the same test and is skipped.
     """
     d = check_degrees(degrees)
     if len(d) > n:
@@ -132,7 +153,7 @@ def random_aci(degrees: Sequence[int], D: int, n: int, p: int, seed: int,
         extra = Form.random(n, D, p, rng)
         hf_a_at_D = graded_piece_dim(forms + (extra,), n, p, D)
         if hf_a_at_D < hf_f_at_D:
-            cert = Certification(True, ci_hf, True, hf_f_at_D, hf_a_at_D)
+            cert = Certification(ci_hf, hf_f_at_D, hf_a_at_D)
             return AciInstance(d, D, n, p, forms, extra, cert)
     raise CertificationFailedError(
         f"no degree-{D} form outside the complete intersection over GF({p}) "

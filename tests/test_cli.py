@@ -113,6 +113,24 @@ def test_verify_bad_config(capsys):
     assert code == 2
 
 
+def test_verify_piece_cap_exits_2(capsys, monkeypatch):
+    # a resource limit is a usage-level exit, not a check failure
+    monkeypatch.setenv("CB_MAX_DIM", "50")
+    code, out, err = run(capsys, "verify", "--mode", "random", "-d", "3,3,3", "-D", "3",
+                         "-n", "4")
+    assert code == 2 and out == ""
+    assert "cap 50" in err and "CB_MAX_DIM" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("raw", ["abc", "0"])
+def test_verify_bad_max_dim_exits_2(capsys, monkeypatch, raw):
+    monkeypatch.setenv("CB_MAX_DIM", raw)
+    code, _, err = run(capsys, "verify", "--mode", "random", "-d", "2,2,2", "-D", "2",
+                       "--trials", "1")
+    assert code == 2
+    assert err == f"error: CB_MAX_DIM must be an integer >= 1, got {raw!r}\n"
+
+
 def test_reproduce(capsys):
     code, out, _ = run(capsys, "reproduce")
     assert code == 0

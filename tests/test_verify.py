@@ -25,11 +25,14 @@ from cbtk.monomials import (
     pure_power_ideal,
     standard_monomials,
 )
+from cbtk import verify
 from cbtk.verify import (
     AciInstance,
     CampaignConfig,
     Certification,
     CertificationFailedError,
+    _certifies_regular,
+    _cut,
     check_hf_dominance,
     check_linkage_symmetry,
     exhaustive_monomial_max,
@@ -54,7 +57,7 @@ def monomial_instance(degrees, D, n, p) -> AciInstance:
     sig = sigma(degrees)
     ci_hf = graded_rank_hf(forms, n, p, sig + 1).values
     hf_a_at_D = graded_piece_dim(forms + (extra,), n, p, D)
-    cert = Certification(True, ci_hf, True, ci_hf[D], hf_a_at_D)
+    cert = Certification(ci_hf, ci_hf[D], hf_a_at_D)
     return AciInstance(tuple(degrees), D, n, p, forms, extra, cert)
 
 
@@ -142,6 +145,84 @@ def test_random_regular_sequence_certifies():
     # one form in one variable is a unit multiple of x1^d, always certifiable
     forms = random_regular_sequence((3,), 1, 5, seed=0)
     assert len(forms) == 1 and forms[0].degree == 3
+
+
+def test_certificate_falls_back_when_cut_is_not_artinian():
+    # x1^2, x2^2, x4^2 is regular in 4 variables, but x4 -> 0 kills x4^2
+    forms = tuple(monomial_form(t, 4, 101) for t in ("x1^2", "x2^2", "x4^2"))
+    cut = tuple(_cut(f, 3) for f in forms)
+    assert cut[2].is_zero and graded_piece_dim(cut, 3, 101, 4) > 0
+    assert graded_rank_hf(forms, 4, 101, 4).values == ci_hilbert((2, 2, 2), 4, 4).values
+    assert _certifies_regular(forms, 4, 101)
+    # not regular at all: x1^2, x1*x2 share a factor, in every ambient ring
+    bad = tuple(monomial_form(t, 4, 101) for t in ("x1^2", "x1*x2"))
+    assert not _certifies_regular(bad, 4, 101)
+    assert not _certifies_regular(tuple(_cut(f, 2) for f in bad), 2, 101)
+
+
+def test_certificate_agrees_with_full_hf_match():
+    # the full Hilbert-function match through sigma+1 is the oracle: a zero
+    # cut piece implies it, and the certificate accepts exactly its matches
+    outcomes = {"shortcut": 0, "fallback": 0, "rejected": 0}
+    for p in (2, 3, 5, 7):
+        for d in ((2, 2), (1, 2, 2), (2, 3), (2, 2, 2)):
+            h = len(d)
+            top = sum(x - 1 for x in d) + 1
+            for n in (h, h + 1, h + 2):
+                rng = random.Random(1000 * p + 10 * n + h)
+                expected = ci_hilbert(d, n, top).values
+                for _ in range(8):
+                    forms = tuple(Form.random(n, x, p, rng) for x in d)
+                    full = graded_rank_hf(forms, n, p, top).values == expected
+                    cut = tuple(_cut(f, h) for f in forms)
+                    if graded_piece_dim(cut, h, p, top) == 0:
+                        assert full, (p, d, n, forms)
+                        outcomes["shortcut"] += 1
+                    else:
+                        outcomes["fallback" if full else "rejected"] += 1
+                    assert _certifies_regular(forms, n, p) == full, (p, d, n, forms)
+    assert all(outcomes.values()), outcomes
+
+
+def _full_match_regular_sequence(rng, degrees, n, p, max_retries, tries):
+    """The certification loop before the one-rank certificate: the full
+    Hilbert-function table through sigma+1 for every try."""
+    sig = sum(d - 1 for d in degrees)
+    expected = ci_hilbert(degrees, n, sig + 1).values
+    for _ in range(max_retries):
+        tries.append(degrees)
+        forms = tuple(Form.random(n, d, p, rng) for d in degrees)
+        got = graded_rank_hf(forms, n, p, sig + 1).values
+        if got == expected:
+            return forms, got
+    raise CertificationFailedError("no regular sequence")
+
+
+def _campaign_outputs(config):
+    """The campaign JSON and the certified instance of every trial."""
+    instances = []
+    for i in range(config.trials):
+        seed = config.seed * verify._SEED_STRIDE + i
+        try:
+            instances.append(random_aci(config.degrees, config.D, config.nvars, config.p, seed))
+        except CertificationFailedError as exc:
+            instances.append(str(exc))
+    return json.dumps(run_campaign(config).to_dict()), instances
+
+
+@pytest.mark.parametrize("config", [
+    CampaignConfig((2, 2, 3), 2, 3, 101, trials=20, seed=7),   # n == h
+    CampaignConfig((3, 3, 3), 3, 5, 101, trials=6, seed=2),    # n > h
+    CampaignConfig((2, 2, 2), 2, 4, 2, trials=30, seed=13),    # GF(2): retries
+])
+def test_campaign_unchanged_by_certificate(monkeypatch, config):
+    new = _campaign_outputs(config)
+    tries = []
+    monkeypatch.setattr(verify, "_random_regular_sequence",
+                        lambda *args: _full_match_regular_sequence(*args, tries))
+    assert _campaign_outputs(config) == new
+    if config.p == 2:
+        assert len(tries) > 2 * config.trials  # some trials needed more than one try
 
 
 def test_random_aci_examples():
