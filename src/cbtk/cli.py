@@ -2,7 +2,7 @@
 verification campaigns, and reproduction of the known example values.
 
 Exit codes: 0 success, 1 check or reproduction failure, 2 usage error or
-resource limit (CB_MAX_DIM).
+resource limit (CB_MAX_DIM, the Hilbert-function recursion depth).
 """
 
 from __future__ import annotations
@@ -233,6 +233,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.func(args)
     except (ValueError, GradedPieceTooLargeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print(f"error: Hilbert-function recursion limit ({sys.getrecursionlimit()} "
+              "levels) exceeded; ask for fewer degrees", file=sys.stderr)
         return 2
 
 

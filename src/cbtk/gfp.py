@@ -3,7 +3,7 @@
 Homogeneous forms are stored as monomial/coefficient maps over GF(p); the
 Hilbert function of a quotient by arbitrary homogeneous generators is
 computed degree by degree as dim S_j minus the rank of the multiplication
-matrix, with fraction-free Gaussian elimination mod p.
+matrix, with blocked Gaussian elimination mod p in float64.
 """
 
 from __future__ import annotations
@@ -26,7 +26,9 @@ from .monomials import (
 )
 
 DEFAULT_MAX_DIM = 20_000
-_MAX_PRIME = 1 << 20  # keeps int64 elimination overflow-free with margin
+_MAX_PRIME = 1 << 20
+_PANEL = 64  # columns per rank_mod_p panel; its float64 sums stay exact:
+assert _PANEL * (_MAX_PRIME - 2) ** 2 + _MAX_PRIME < 2 ** 53
 
 
 class GradedPieceTooLargeError(RuntimeError):
@@ -114,82 +116,76 @@ class Form:
                 "terms": [[format_monomial(m), c] for m, c in self.terms]}
 
 
-try:
-    from numba import njit
-
-    @njit(cache=True)
-    def _rank_mod_p_jit(a, p):  # pragma: no cover - exercised via wrapper
-        rows, cols = a.shape
-        r = 0
-        for c in range(cols):
-            piv = -1
-            for i in range(r, rows):
-                if a[i, c] != 0:
-                    piv = i
-                    break
-            if piv < 0:
-                continue
-            if piv != r:
-                for k in range(c, cols):
-                    tmp = a[r, k]
-                    a[r, k] = a[piv, k]
-                    a[piv, k] = tmp
-            app = a[r, c]
-            for i in range(r + 1, rows):
-                f = a[i, c]
-                if f != 0:
-                    for k in range(c, cols):
-                        a[i, k] = (app * a[i, k] - f * a[r, k]) % p
-            r += 1
-            if r == rows:
-                break
-        return r
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    _HAVE_NUMBA = False
-
-
-def _rank_mod_p_np(a: np.ndarray, p: int) -> int:
-    rows, cols = a.shape
-    r = 0
-    for c in range(cols):
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        piv = r + int(nz[0])
-        if piv != r:
-            a[[r, piv]] = a[[piv, r]]
-        app = a[r, c]
-        f = a[r + 1:, c]
-        mask = f != 0
-        if mask.any():
-            a[r + 1:][mask] = (app * a[r + 1:][mask] - np.outer(f[mask], a[r])) % p
-        r += 1
-        if r == rows:
-            break
-    return r
+def _reduce(x: np.ndarray, p: int) -> None:
+    """x mod p in place, exact for |x| < 2**53: float % on short vectors (fewer
+    calls), x -= floor(x / p) * p on larger blocks (cheaper per element)."""
+    if x.size <= _PANEL:
+        np.remainder(x, p, out=x)
+        return
+    q = x / p
+    np.floor(q, out=q)
+    q *= p
+    x -= q
 
 
 def rank_mod_p(matrix: np.ndarray, p: int) -> int:
-    """Rank over GF(p) of an integer matrix, by fraction-free elimination."""
+    """Rank over GF(p) of an integer matrix, by blocked elimination in float64:
+    panels of _PANEL columns, eliminated column by column on nonzero rows only,
+    then T -= L21 (L11^-1 A12) on the trailing block T for each panel.  Every
+    sum stays below _PANEL * (p - 1)**2 + p < 2**53, so the rank is exact."""
     _check_prime(p)
-    a = np.ascontiguousarray(np.asarray(matrix, dtype=np.int64) % p)
-    if a.size == 0:
-        return 0
-    if _HAVE_NUMBA:
-        return int(_rank_mod_p_jit(a, p))
-    return _rank_mod_p_np(a, p)
+    m = np.asarray(matrix, dtype=np.int64)
+    a = np.remainder(m, p, out=np.empty(m.shape))  # in int64: entries may exceed 2**53
+    rows, cols = a.shape
+    r = 0
+    for c0 in range(0, cols, _PANEL):
+        c1 = min(c0 + _PANEL, cols)
+        r0, piv_cols, invs = r, [], []
+        for c in range(c0, c1):
+            col = a[r:, c]
+            _reduce(col, p)
+            nz = col.nonzero()[0]
+            if nz.size == 0:
+                continue
+            if nz[0]:
+                a[r], a[r + nz[0]] = a[r + nz[0]].copy(), a[r].copy()
+            inv = pow(int(col[0]), -1, p)
+            if nz.size > 1 and c + 1 < c1:
+                prow = a[r, c + 1:c1] % p * inv % p
+                a[r + nz[1:], c + 1:c1] -= np.outer(col[nz[1:]], prow)
+            piv_cols.append(c)
+            invs.append(inv)
+            r += 1
+            if r == rows:
+                return r
+        k = r - r0
+        if k == 0 or c1 == cols:
+            continue
+        lower = a[r0:, piv_cols] * invs  # the multipliers; its upper part is not read
+        _reduce(lower, p)
+        # N = I - L11 is nilpotent, so L11^-1 = (I + N)(I + N^2)(I + N^4)...
+        nil = -np.tril(lower[:k], -1)
+        inv_l11 = np.eye(k) + nil
+        for _ in range((k - 1).bit_length() - 1):  # until the powers reach N^(k-1)
+            nil = nil @ nil
+            _reduce(nil, p)
+            inv_l11 += inv_l11 @ nil
+            _reduce(inv_l11, p)
+        u12 = inv_l11 @ a[r0:r, c1:]
+        _reduce(u12, p)
+        a[r:, c1:] -= lower[k:] @ u12
+        _reduce(a[r:, c1:], p)
+    return r
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _compositions_array(total: int, n: int) -> np.ndarray:
     arr = np.array(list(_compositions_desc(total, n)), dtype=np.int64).reshape(-1, n)
     arr.flags.writeable = False
     return arr
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _basis_keys(degree: int, n: int) -> np.ndarray:
     base = degree + 1
     if base ** n >= 1 << 62:

@@ -122,6 +122,12 @@ def test_verify_piece_cap_exits_2(capsys, monkeypatch):
     assert "cap 50" in err and "CB_MAX_DIM" in err and "Traceback" not in err
 
 
+def test_hilbert_recursion_limit_exits_2(capsys):
+    code, out, err = run(capsys, "hilbert", "--ideal", "x1^2000", "-n", "2", "--up-to", "1500")
+    assert code == 2 and out == ""
+    assert "recursion limit" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("raw", ["abc", "0"])
 def test_verify_bad_max_dim_exits_2(capsys, monkeypatch, raw):
     monkeypatch.setenv("CB_MAX_DIM", raw)

@@ -9,9 +9,10 @@ from conftest import degree_sequences, random_ideal
 from cbtk.bounds import bound_codim3
 from cbtk.gfp import (
     Form,
+    _PANEL,
     GradedPieceTooLargeError,
-    _rank_mod_p_np,
     graded_piece_dim,
+    graded_piece_matrix,
     graded_rank_hf,
     is_prime,
     rank_mod_p,
@@ -77,12 +78,67 @@ def test_rank_mod_p_known_values():
         rank_mod_p(np.eye(2, dtype=int), 6)
 
 
-def test_rank_paths_agree():
+def _rank_oracle(a: np.ndarray, p: int) -> int:
+    """Unblocked fraction-free elimination in int64, one pivot column at a
+    time over full rows."""
+    a = np.asarray(a, dtype=np.int64) % p
+    rows, cols = a.shape
+    r = 0
+    for c in range(cols):
+        nz = np.nonzero(a[r:, c])[0]
+        if nz.size == 0:
+            continue
+        piv = r + int(nz[0])
+        if piv != r:
+            a[[r, piv]] = a[[piv, r]]
+        app = a[r, c]
+        f = a[r + 1:, c]
+        mask = f != 0
+        if mask.any():
+            a[r + 1:][mask] = (app * a[r + 1:][mask] - np.outer(f[mask], a[r])) % p
+        r += 1
+        if r == rows:
+            break
+    return r
+
+
+def test_rank_matches_unblocked_oracle():
     rng = np.random.default_rng(11)
-    for p in (2, 3, 101):
-        for shape in ((4, 7), (7, 4), (12, 12), (1, 5)):
-            a = rng.integers(0, p, size=shape)
-            assert rank_mod_p(a, p) == _rank_mod_p_np(a.astype(np.int64) % p, p)
+    for p in (2, 3, 5, 7, 101, 1048573):
+        for cols in (_PANEL - 1, _PANEL, _PANEL + 1, 2 * _PANEL + 1):
+            for rows in (cols // 3 + 1, cols + 7):  # wide and tall
+                dense = rng.integers(0, p, size=(rows, cols))
+                sparse = dense * (rng.random((rows, cols)) < 0.1)
+                cases = [dense, sparse, np.zeros((rows, cols), dtype=np.int64)]
+                for inner in (5, _PANEL + 3):  # products of rank at most inner
+                    left = rng.integers(0, p, size=(rows, inner))
+                    right = rng.integers(0, p, size=(inner, cols))
+                    cases.append(left @ right % p)
+                    cases.append((left * (rng.random(left.shape) < 0.2))
+                                 @ (right * (rng.random(right.shape) < 0.2)) % p)
+                for a in cases:
+                    assert rank_mod_p(a, p) == _rank_oracle(a, p), (p, a.shape)
+                # entries near +-2**62 must be reduced before any float conversion
+                shift = rng.integers(-(2 ** 62) // p, 2 ** 62 // p, size=(rows, cols))
+                assert rank_mod_p(dense + p * shift, p) == _rank_oracle(dense, p)
+            assert rank_mod_p(rng.integers(1, p, size=(1, cols)), p) == 1
+            assert rank_mod_p(rng.integers(1, p, size=(cols, 1)), p) == 1
+    for shape in ((0, 0), (0, 5), (5, 0)):
+        assert rank_mod_p(np.zeros(shape, dtype=np.int64), 7) == 0
+    big = np.array([[2 ** 62 + 1, -(2 ** 62)], [2 ** 63 - 1, -(2 ** 63)]], dtype=np.int64)
+    assert rank_mod_p(big, 101) == _rank_oracle(big, 101)
+
+
+def test_rank_matches_oracle_on_graded_pieces():
+    # every piece instance_hf eliminates for one (4,4,4;4) trial in 5 variables,
+    # up to the 504 x 715 piece in degree sigma = 9
+    inst = random_aci((4, 4, 4), 4, 5, 101, seed=3)
+    shapes = []
+    for degree in range(inst.D + 1, sigma((4, 4, 4)) + 1):
+        a = graded_piece_matrix(inst.forms, 5, degree)
+        shapes.append(a.shape)
+        assert rank_mod_p(a, 101) == _rank_oracle(a, 101), a.shape
+    assert shapes[-1] == (504, 715)
 
 
 def test_form_validation():
@@ -358,14 +414,6 @@ def test_dominance_h3_uses_ambient_ring_profile():
 def test_campaign_deterministic():
     cfg = CampaignConfig((2, 2, 3), 2, 3, 101, trials=25, seed=99)
     assert run_campaign(cfg).to_dict() == run_campaign(cfg).to_dict()
-
-
-def test_campaign_identical_without_jit(monkeypatch):
-    import cbtk.gfp as gfp
-    cfg = CampaignConfig((2, 2, 2), 2, 3, 101, trials=10, seed=4)
-    with_jit = run_campaign(cfg).to_dict()
-    monkeypatch.setattr(gfp, "_HAVE_NUMBA", False)
-    assert run_campaign(cfg).to_dict() == with_jit
 
 
 def test_campaign_config_validation():
