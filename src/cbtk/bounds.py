@@ -13,8 +13,8 @@ import math
 from dataclasses import dataclass
 from typing import Any
 
-from .lpp import AciParams, c_sequence, delta_m, lpp_ideal, lpp_multiplicity, phi
-from .monomials import HilbertTable, hilbert_function, pure_power_ideal
+from .lpp import AciParams, c_sequence, delta_sum, lpp_hilbert, lpp_multiplicity, phi, phi_sum
+from .monomials import HilbertTable, ci_hilbert
 
 #: Tie-break priority when several bounds achieve the minimum.
 TAGS = ("codim3", "delta2", "symmetric", "phi_chain", "engheta_hmmcs")
@@ -35,7 +35,7 @@ def bound_phi_chain(p: AciParams) -> int:
     """prod(d) - sum_{m=D+1}^{sigma} phi_m - 1, for D <= sigma."""
     if p.D > p.sigma:
         raise NotApplicableError(f"needs D <= sigma = {p.sigma}, got D = {p.D}")
-    return p.product - sum(phi(p.degrees, m) for m in range(p.D + 1, p.sigma + 1)) - 1
+    return p.product - phi_sum(p.degrees, p.D + 1, p.sigma) - 1
 
 
 def bound_symmetric(p: AciParams) -> int:
@@ -43,8 +43,8 @@ def bound_symmetric(p: AciParams) -> int:
     prod(d) - sum_{m=D+1}^{tau-} phi_m - sum_{m=D+1}^{tau+} phi_m - 2, for D < sigma."""
     if p.D >= p.sigma:
         raise NotApplicableError(f"needs D < sigma = {p.sigma}, got D = {p.D}")
-    lo = sum(phi(p.degrees, m) for m in range(p.D + 1, p.tau_minus + 1))
-    hi = sum(phi(p.degrees, m) for m in range(p.D + 1, p.tau_plus + 1))
+    lo = phi_sum(p.degrees, p.D + 1, p.tau_minus)
+    hi = phi_sum(p.degrees, p.D + 1, p.tau_plus)
     return p.product - lo - hi - 2
 
 
@@ -57,8 +57,8 @@ def bound_delta2(p: AciParams) -> int:
         raise NotApplicableError(f"needs D < d_4 = {p.degrees[3]}, got D = {p.D}")
     if p.D >= p.sigma:
         raise NotApplicableError(f"needs D < sigma = {p.sigma}, got D = {p.D}")
-    lo = sum(delta_m(p.degrees, p.D, m) for m in range(p.D + 1, p.tau_minus + 1))
-    hi = sum(delta_m(p.degrees, p.D, m) for m in range(p.D + 1, p.tau_plus + 1))
+    lo = delta_sum(p.degrees, p.D, p.D + 1, p.tau_minus)
+    hi = delta_sum(p.degrees, p.D, p.D + 1, p.tau_plus)
     return p.product - lo - hi - 2
 
 
@@ -145,7 +145,8 @@ def hf_profile(p: AciParams, up_to: int) -> HilbertTable:
     """Per-degree upper bounds for HF(S/a; m) in exactly h variables.
 
     h == 3: the full Hilbert function of L(d; D).  h >= 4 with D < d_4:
-    HF(S/(x^d); m) - delta_m.  Otherwise HF(S/(x^d); m) in degrees <= D and
+    HF(S/(x^d); m) - delta_m, which is the Hilbert function of L(d; D)
+    through degree d_4.  Otherwise HF(S/(x^d); m) in degrees <= D and
     HF(S/(x^d); m) - phi_m above.
     """
     if p.D > p.sigma:
@@ -153,14 +154,14 @@ def hf_profile(p: AciParams, up_to: int) -> HilbertTable:
     if up_to < 0:
         raise ValueError("up_to must be >= 0")
     if p.h == 3:
-        return hilbert_function(lpp_ideal(p.degrees, p.D, 3), up_to)
-    xd = hilbert_function(pure_power_ideal(p.degrees, p.h), up_to)
+        return lpp_hilbert(p.degrees, p.D, 3, up_to)
+    xd = ci_hilbert(p.degrees, p.h, up_to).values
     if p.h >= 4 and p.D < p.degrees[3]:
-        values = tuple(xd.values[m] - delta_m(p.degrees, p.D, m) for m in range(up_to + 1))
+        head = lpp_hilbert(p.degrees, p.D, p.h, min(up_to, p.degrees[3])).values
     else:
-        values = tuple(xd.values[m] - (phi(p.degrees, m) if m > p.D else 0)
-                       for m in range(up_to + 1))
-    return HilbertTable(values)
+        head = xd[:p.D + 1]
+    return HilbertTable(head + tuple(xd[m] - phi(p.degrees, m)
+                                     for m in range(len(head), up_to + 1)))
 
 
 def best_threshold(p: AciParams) -> BoundReport:

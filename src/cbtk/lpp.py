@@ -2,23 +2,19 @@
 
 Builds the ideal L(d; D) = (x1^d1, ..., xh^dh) + (U_D), where U_D is the
 lex-largest degree-D monomial outside the pure power ideal, together with
-the derived c-sequence and the per-degree correction tables phi_m and
-delta_m used by the multiplicity bounds.
+the derived c-sequence, the per-degree corrections phi_m and delta_m used
+by the multiplicity bounds and their range sums, and the Hilbert function
+of L(d; D), all in closed form.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from itertools import accumulate
 from typing import Sequence
 
-from .monomials import (
-    Monomial,
-    MonomialIdeal,
-    hilbert_function,
-    pure_power_ideal,
-)
+from .monomials import HilbertTable, Monomial, MonomialIdeal, ci_hilbert, pure_power_ideal
 
 
 def check_degrees(degrees: Sequence[int]) -> tuple[int, ...]:
@@ -112,12 +108,16 @@ def lpp_ideal(degrees: Sequence[int], D: int, nvars: int) -> MonomialIdeal:
     return pure_power_ideal(d, nvars) + MonomialIdeal((u,), nvars)
 
 
-@lru_cache(maxsize=None)
-def _phi(degrees: tuple[int, ...], m: int) -> int:
-    h = len(degrees)
-    xd = pure_power_ideal(degrees, h)
-    L = lpp_ideal(degrees, m - 1, h)
-    return (hilbert_function(xd, m).values[m] - hilbert_function(L, m).values[m])
+def phi_sum(degrees: Sequence[int], lo: int, hi: int) -> int:
+    """The sum of phi_m over lo <= m <= hi, in O(h) steps.
+
+    With prefix sums P_i = sum_{j <= i} (d_j - 1), U_{m-1} saturates exactly
+    the x_i with P_i <= m-1, so phi_m = #{i : P_i >= m} for 2 <= m <= sigma,
+    and x_i counts once for each m in [max(lo, 2), min(P_i, hi)].
+    """
+    d = check_degrees(degrees)
+    lo = max(lo, 2)
+    return sum(max(0, min(P, hi) - lo + 1) for P in accumulate(x - 1 for x in d))
 
 
 def phi(degrees: Sequence[int], m: int) -> int:
@@ -125,18 +125,17 @@ def phi(degrees: Sequence[int], m: int) -> int:
     for 2 <= m <= sigma; zero otherwise.
 
     Equivalently, the number of variables x_j (j <= h) with
-    x_j * U_{m-1} outside (x^d).
+    x_j * U_{m-1} outside (x^d); in closed form #{i : P_i >= m} (phi_sum).
     """
-    d = check_degrees(degrees)
-    if not 2 <= m <= sum(x - 1 for x in d):
-        return 0
-    return _phi(d, m)
+    return phi_sum(degrees, m, m)
 
 
-def delta_m(degrees: Sequence[int], D: int, m: int) -> int:
-    """delta_m = HF(S/(x^d); m) - HF(S/L(d; D); m) for 0 <= m <= d_4,
-    phi_m otherwise; both in exactly h variables.
+def delta_sum(degrees: Sequence[int], D: int, lo: int, hi: int) -> int:
+    """The sum of delta_m over lo <= m <= hi.
 
+    The colon sequence 0 -> S/(x^c)(-D) -> S/(x^d) -> S/L(d; D) -> 0 gives
+    delta_m = HF(S/(x^c); m-D) for D <= m <= d_4 and zero below D, read from
+    one complete-intersection table; above d_4, delta_m = phi_m.
     Needs h >= 4 and 1 <= D < d_4.
     """
     d = check_degrees(degrees)
@@ -144,12 +143,31 @@ def delta_m(degrees: Sequence[int], D: int, m: int) -> int:
         raise ValueError(f"delta_m needs h >= 4 degrees, got {len(d)}")
     if not 1 <= D < d[3]:
         raise ValueError(f"delta_m needs 1 <= D < d_4 = {d[3]}, got D = {D}")
-    if not 0 <= m <= d[3]:
-        return phi(d, m)
-    h = len(d)
-    xd = pure_power_ideal(d, h)
-    L = lpp_ideal(d, D, h)
-    return hilbert_function(xd, m).values[m] - hilbert_function(L, m).values[m]
+    start, top = max(lo, D) - D, min(hi, d[3]) - D
+    head = sum(ci_hilbert(c_sequence(d, D), len(d), top).values[start:]) if start <= top else 0
+    return head + phi_sum(d, max(lo, d[3] + 1), hi)
+
+
+def delta_m(degrees: Sequence[int], D: int, m: int) -> int:
+    """delta_m = HF(S/(x^d); m) - HF(S/L(d; D); m) for 0 <= m <= d_4,
+    phi_m otherwise; both in exactly h variables.
+
+    In closed form HF(S/(x^c); m-D) up to d_4 (delta_sum).
+    Needs h >= 4 and 1 <= D < d_4.
+    """
+    return delta_sum(degrees, D, m, m)
+
+
+def lpp_hilbert(degrees: Sequence[int], D: int, nvars: int, up_to: int) -> HilbertTable:
+    """HF(S/L(d; D); 0..up_to) in nvars variables, for 1 <= D <= sigma.
+
+    The colon sequence gives HF(S/(x^d); m) - HF(S/(x^c); m-D), without
+    the splitting recursion of hilbert_function(lpp_ideal(d, D, nvars), up_to).
+    """
+    d = check_degrees(degrees)
+    colon = ci_hilbert(c_sequence(d, D), nvars, max(up_to - D, 0)).values
+    return HilbertTable(tuple(v - (colon[m - D] if m >= D else 0)
+                              for m, v in enumerate(ci_hilbert(d, nvars, up_to).values)))
 
 
 def lpp_multiplicity(degrees: Sequence[int], D: int) -> int:

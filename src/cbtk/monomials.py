@@ -71,10 +71,6 @@ class Monomial:
         a, b = self.exponents, other.exponents
         return len(a) <= len(b) and all(x <= y for x, y in zip(a, b))
 
-    def gcd(self, other: "Monomial") -> "Monomial":
-        n = min(len(self.exponents), len(other.exponents))
-        return Monomial(tuple(min(self.exponents[i], other.exponents[i]) for i in range(n)))
-
     def quotient_by(self, other: "Monomial") -> "Monomial":
         """self / gcd(self, other): divide out as much of other as possible."""
         return Monomial(tuple(max(e - other.exponent(i), 0) for i, e in enumerate(self.exponents)))
@@ -189,11 +185,6 @@ class MonomialIdeal:
     def raw_generators(self) -> tuple[tuple[int, ...], ...]:
         """Canonical exponent tuples, the memoization key for this ideal."""
         return tuple(sorted(g.exponents for g in self.generators))
-
-
-def minimalize(gens: Iterable[Monomial], nvars: int) -> MonomialIdeal:
-    """Build the ideal generated by gens, dropping redundant generators."""
-    return MonomialIdeal(tuple(gens), nvars)
 
 
 def parse_ideal(text: str, nvars: int) -> MonomialIdeal:

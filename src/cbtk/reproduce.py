@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from .bounds import best_threshold, bound_symmetric
-from .lpp import AciParams, c_sequence, lpp_multiplicity, phi
+from .lpp import AciParams, c_sequence, lpp_multiplicity, phi_sum
 
 
 @dataclass(frozen=True)
@@ -58,7 +58,7 @@ def manifest_rows() -> list[ManifestRow]:
         rows.append(ManifestRow(f"threshold(cubics, P^{2 * n})",
                                 r.threshold, 3 ** (2 * n) - (6 * n * n - 8 * n + 3)))
         rows.append(ManifestRow(f"phi sum(cubics, P^{2 * n})",
-                                sum(phi(d, m) for m in range(4, 2 * n + 2)),
+                                phi_sum(d, 4, 2 * n + 1),
                                 3 * n * n - 4 * n + 1))
     # n quadrics in P^n
     for n in range(3, 9):

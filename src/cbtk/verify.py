@@ -17,7 +17,7 @@ from typing import Any, Sequence
 
 from .bounds import best_threshold, hf_profile
 from .gfp import Form, graded_piece_dim, graded_rank_hf, is_prime
-from .lpp import AciParams, check_degrees, lpp_ideal, lpp_monomial, lpp_multiplicity
+from .lpp import AciParams, check_degrees, lpp_hilbert, lpp_monomial, lpp_multiplicity
 from .monomials import (
     Monomial,
     MonomialIdeal,
@@ -207,7 +207,7 @@ def check_hf_dominance(inst: AciInstance) -> DominanceResult:
         raise ValueError(f"dominance checks need D <= sigma = {sig}")
     h = params.h
     if h == 3:
-        profile = hilbert_function(lpp_ideal(inst.degrees, inst.D, inst.nvars), sig).values
+        profile = lpp_hilbert(inst.degrees, inst.D, inst.nvars, sig).values
         check_from = 0
     else:
         if inst.nvars != h:
@@ -304,9 +304,6 @@ def exhaustive_monomial_max(degrees: Sequence[int], D: int) -> tuple[int, list[M
     return best, argmax
 
 
-KNOWN_CHECKS = ("hf_dominance",)
-
-
 @dataclass(frozen=True)
 class CampaignConfig:
     degrees: tuple[int, ...]
@@ -315,7 +312,6 @@ class CampaignConfig:
     p: int
     trials: int
     seed: int
-    checks: tuple[str, ...] = ("hf_dominance",)
 
     def validate(self) -> None:
         d = check_degrees(self.degrees)
@@ -332,11 +328,6 @@ class CampaignConfig:
             raise ValueError(f"trials must be >= 0, got {self.trials}")
         if not is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
-        if not self.checks:
-            raise ValueError("no checks selected")
-        for c in self.checks:
-            if c not in KNOWN_CHECKS:
-                raise ValueError(f"unknown check {c!r}; known: {KNOWN_CHECKS}")
 
 
 @dataclass(frozen=True)
@@ -356,7 +347,7 @@ class CampaignReport:
             "n": self.config.nvars,
             "p": self.config.p,
             "seed": self.config.seed,
-            "checks": list(self.config.checks),
+            "checks": ["hf_dominance"],
             "attempted": self.attempted,
             "certified": self.certified,
             "passed": self.passed,
@@ -374,7 +365,7 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
     """
     config.validate()
     certified = passed = failed = 0
-    check_failures = {c: 0 for c in config.checks}
+    check_failures = {"hf_dominance": 0}
     failures: list[dict[str, Any]] = []
     for i in range(config.trials):
         trial_seed = config.seed * _SEED_STRIDE + i
@@ -383,18 +374,13 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
         except CertificationFailedError:
             continue
         certified += 1
-        trial_failures: list[CheckFailure] = []
-        for name in config.checks:
-            if name == "hf_dominance":
-                result = check_hf_dominance(inst)
-                if not result.passed:
-                    trial_failures.extend(result.failures)
-                    check_failures[name] += 1
-        if trial_failures:
-            failed += 1
-            first = trial_failures[0]
-            failures.append(inst.to_dict(first.check, first.degree))
-        else:
+        result = check_hf_dominance(inst)
+        if result.passed:
             passed += 1
+        else:
+            failed += 1
+            check_failures["hf_dominance"] += 1
+            first = result.failures[0]
+            failures.append(inst.to_dict(first.check, first.degree))
     return CampaignReport(config, config.trials, certified, passed, failed,
                           check_failures, tuple(failures))

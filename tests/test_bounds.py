@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from conftest import degree_sequences
+from conftest import degree_sequences, delta_oracle, lpp_hf_oracle, oracle_grid, phi_oracle
 from cbtk.bounds import (
     BoundReport,
     NotApplicableError,
@@ -16,7 +16,7 @@ from cbtk.bounds import (
     egh_conjectural,
     hf_profile,
 )
-from cbtk.lpp import AciParams, c_sequence, phi, sigma
+from cbtk.lpp import AciParams, c_sequence, lpp_multiplicity, phi, sigma
 from cbtk.monomials import hilbert_function, pure_power_ideal
 
 
@@ -73,6 +73,29 @@ def test_codim3():
         bound_codim3(AciParams((2, 2, 2), 4))
 
 
+def test_bounds_match_hf_definition_sums():
+    # each bound against its per-m sum of HF differences, at every D; the
+    # symmetric sums run empty near sigma and end on tau- != tau+
+    empty = 0
+    for d in oracle_grid():
+        s = sigma(d)
+        for D in range(1, s + 1):
+            p = AciParams(d, D)
+            phis = sum(phi_oracle(d, m) for m in range(D + 1, s + 1))
+            assert bound_phi_chain(p) == p.product - phis - 1, (d, D)
+            if D >= s:
+                continue
+            lo = sum(phi_oracle(d, m) for m in range(D + 1, p.tau_minus + 1))
+            hi = sum(phi_oracle(d, m) for m in range(D + 1, p.tau_plus + 1))
+            assert bound_symmetric(p) == p.product - lo - hi - 2, (d, D)
+            empty += p.tau_minus < D + 1
+            if len(d) >= 4 and D < d[3]:
+                lo = sum(delta_oracle(d, D, m) for m in range(D + 1, p.tau_minus + 1))
+                hi = sum(delta_oracle(d, D, m) for m in range(D + 1, p.tau_plus + 1))
+                assert bound_delta2(p) == p.product - lo - hi - 2, (d, D)
+    assert empty
+
+
 def test_egh_conjectural():
     assert egh_conjectural(AciParams((4, 4, 4, 10), 4)) == 520
     assert egh_conjectural(AciParams((3, 3, 3, 3), 3)) == 81 - math.prod((1, 2, 3, 3)) == 63
@@ -90,6 +113,21 @@ def test_hf_profile_examples():
     assert hf_profile(AciParams((4, 4, 4, 10), 4), 0).values == (1,)
     with pytest.raises(ValueError):
         hf_profile(AciParams((2, 2), 3), 5)
+
+
+def test_hf_profile_matches_hf_definition():
+    for d in oracle_grid():
+        h, s = len(d), sigma(d)
+        xd = hilbert_function(pure_power_ideal(d, h), s + 1).values
+        for D in range(1, s + 1):
+            if h == 3:
+                expected = lpp_hf_oracle(d, D, 3, s + 1)
+            elif h >= 4 and D < d[3]:
+                expected = tuple(xd[m] - delta_oracle(d, D, m) for m in range(s + 2))
+            else:
+                expected = tuple(xd[m] - (phi_oracle(d, m) if m > D else 0) for m in range(s + 2))
+            for up_to in (0, D, s + 1):
+                assert hf_profile(AciParams(d, D), up_to).values == expected[:up_to + 1], (d, D)
 
 
 def test_hf_profile_h3_sums_to_multiplicity():
@@ -120,6 +158,13 @@ def test_best_threshold_examples():
     assert (r.threshold, r.selected_tag) == (70, "symmetric")
     r = best_threshold(AciParams((5, 5, 5), 5))
     assert (r.threshold, r.selected_tag) == (106, "codim3")
+
+
+def test_best_threshold_large_codim3_is_sharp():
+    # the bounds are closed forms, so entries of 100 answer at once; h = 3 is sharp
+    r = best_threshold(AciParams((100, 100, 100), 50))
+    assert r.threshold == lpp_multiplicity((100, 100, 100), 50) + 1 == 500001
+    assert r.selected_tag == "codim3"
 
 
 def test_best_threshold_report_invariants():

@@ -2,16 +2,19 @@ import math
 
 import pytest
 
-from conftest import degree_sequences
+from conftest import degree_sequences, delta_oracle, lpp_hf_oracle, oracle_grid, phi_oracle
 from cbtk.lpp import (
     AciParams,
     c_sequence,
     check_degrees,
     delta_m,
+    delta_sum,
+    lpp_hilbert,
     lpp_ideal,
     lpp_monomial,
     lpp_multiplicity,
     phi,
+    phi_sum,
     sigma,
 )
 from cbtk.monomials import (
@@ -149,6 +152,51 @@ def test_phi_matches_counting_characterization():
     for d in degree_sequences(5, 4):
         for m in range(0, sigma(d) + 3):
             assert phi(d, m) == phi_by_counting(d, m), (d, m)
+
+
+def test_phi_matches_hf_definition():
+    # every m from below 2 to past sigma, and the O(h) sum over every range
+    for d in oracle_grid():
+        ms = range(-1, sigma(d) + 3)
+        oracle = {m: phi_oracle(d, m) for m in ms}
+        for m in ms:
+            assert phi(d, m) == oracle[m], (d, m)
+        for lo in ms:
+            for hi in ms:
+                expected = sum(oracle[m] for m in range(lo, hi + 1))
+                assert phi_sum(d, lo, hi) == expected, (d, lo, hi)
+
+
+def test_delta_matches_hf_definition():
+    # every D < d_4 and every m on both sides of D and d_4, summed over every range
+    for d in oracle_grid():
+        if len(d) < 4:
+            continue
+        ms = range(-1, max(d[3], sigma(d)) + 3)
+        for D in range(1, d[3]):
+            oracle = {m: delta_oracle(d, D, m) for m in ms}
+            for m in ms:
+                assert delta_m(d, D, m) == oracle[m], (d, D, m)
+            for lo in ms:
+                for hi in ms:
+                    expected = sum(oracle[m] for m in range(lo, hi + 1))
+                    assert delta_sum(d, D, lo, hi) == expected, (d, D, lo, hi)
+
+
+def test_lpp_hilbert_matches_hf_definition():
+    for n in (3, 4, 5):
+        for d in oracle_grid():
+            if len(d) > n:
+                continue
+            s = sigma(d)
+            for D in range(1, s + 1):
+                assert lpp_hilbert(d, D, n, s + 2).values == lpp_hf_oracle(d, D, n, s + 2), (d, D, n)
+                for up_to in (0, D - 1, D):
+                    assert lpp_hilbert(d, D, n, up_to).values == lpp_hf_oracle(d, D, n, up_to)
+    with pytest.raises(ValueError):
+        lpp_hilbert((2, 2, 2), 2, 2, 4)
+    with pytest.raises(ValueError):
+        lpp_hilbert((2, 2), 3, 3, 4)  # D > sigma
 
 
 def test_phi_positive_and_non_increasing():

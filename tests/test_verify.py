@@ -425,8 +425,6 @@ def test_campaign_config_validation():
         CampaignConfig((2, 2, 2, 2), 2, 5, 101, trials=1, seed=0).validate()  # h=4, n != h
     with pytest.raises(ValueError):
         CampaignConfig((2, 2, 2), 2, 3, 100, trials=1, seed=0).validate()  # p not prime
-    with pytest.raises(ValueError):
-        CampaignConfig((2, 2, 2), 2, 3, 101, trials=1, seed=0, checks=("bogus",)).validate()
 
 
 def test_instance_serialization_schema():
